@@ -8,7 +8,7 @@ result cache makes identical re-submissions free.  See
 ``docs/FARM.md``.
 """
 
-from repro.farm.campaign import collect, run_campaign, submit
+from repro.farm.campaign import run_campaign, submit
 from repro.farm.spec import CampaignSpec, JobSpec, code_rev
 from repro.farm.store import FarmStore, default_worker_id
 from repro.farm.worker import FarmConfig, run_worker
@@ -19,7 +19,6 @@ __all__ = [
     "FarmStore",
     "JobSpec",
     "code_rev",
-    "collect",
     "default_worker_id",
     "run_campaign",
     "run_worker",

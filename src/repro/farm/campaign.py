@@ -2,11 +2,11 @@
 
 The coordinator owns no irreplaceable state — it submits the campaign
 (idempotent), supervises a self-healing :class:`WorkerPool`, and polls
-the store until no runnable work remains.  Killing the coordinator and
-re-running :func:`run_campaign` with the same spec resumes exactly the
-unfinished jobs and converges to the same result rows; a *finished*
-campaign resubmitted later is served entirely from the result cache
-(zero new simulations).
+the store until no runnable work remains, waking as soon as a worker
+exits.  Killing the coordinator and re-running :func:`run_campaign`
+with the same spec resumes exactly the unfinished jobs and converges
+to the same result rows; a *finished* campaign resubmitted later is
+served entirely from the result cache (zero new simulations, no pool).
 """
 
 from __future__ import annotations
@@ -27,12 +27,6 @@ def submit(db_path: str, spec: CampaignSpec,
         return store.submit_campaign(spec)
 
 
-def collect(db_path: str, campaign: str) -> Dict[str, dict]:
-    """``{content_key: result_row}`` for the campaign's done jobs."""
-    with FarmStore(db_path) as store:
-        return store.rows(campaign)
-
-
 def run_campaign(
     db_path: str,
     spec: CampaignSpec,
@@ -49,27 +43,32 @@ def run_campaign(
     use.  Otherwise a :class:`WorkerPool` of *workers* processes drains
     the campaign while the coordinator supervises: each poll respawns
     any dead worker and calls *on_poll* (the chaos battery's hook for
-    killing workers mid-flight).
+    killing workers mid-flight).  A poll happens when a worker exits,
+    and at least every *poll_secs*; a campaign already finished at
+    submission (every job cached) returns without starting the pool.
 
     Safe to call again after a coordinator crash — submission is
     idempotent and only unfinished jobs run.
     """
     config = config or FarmConfig()
-    cid, _counts = submit(db_path, spec, diag_dir=config.diag_dir)
-    if workers == 0:
-        run_worker(db_path, cid, config=config, once=True)
-        return collect(db_path, cid)
     deadline = None if timeout is None else time.monotonic() + timeout
     with FarmStore(db_path, diag_dir=config.diag_dir) as store:
-        with WorkerPool(db_path, cid, workers, config=config) as pool:
-            while not store.campaign_done(cid):
-                if deadline is not None and time.monotonic() > deadline:
-                    raise TimeoutError(
-                        f"campaign {cid} still unfinished after "
-                        f"{timeout}s: {store.status(cid)}"
-                    )
-                pool.ensure()
-                if on_poll is not None:
-                    on_poll(store, pool)
-                time.sleep(poll_secs)
+        cid, _counts = store.submit_campaign(spec)
+        if workers == 0:
+            run_worker(db_path, cid, config=config, once=True)
+        elif not store.campaign_done(cid):  # fully cached: fork nothing
+            with WorkerPool(db_path, cid, workers, config=config,
+                            respawn_secs=poll_secs) as pool:
+                while not store.campaign_done(cid):
+                    if deadline is not None and time.monotonic() > deadline:
+                        raise TimeoutError(
+                            f"campaign {cid} still unfinished after "
+                            f"{timeout}s: {store.status(cid)}"
+                        )
+                    pool.ensure()
+                    if on_poll is not None:
+                        on_poll(store, pool)
+                    # a worker exits once the campaign is done, so its
+                    # exit (not the next tick) ends the wait
+                    pool.wait(poll_secs)
         return store.rows(cid)

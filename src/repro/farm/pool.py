@@ -7,11 +7,17 @@ worker id, so a kill-happy environment only costs lease timeouts, never
 progress.  The pool deliberately does **not** inspect exit codes to
 decide whether work was lost; the store's lease protocol is the single
 source of truth for that.
+
+A slot is respawned at most once per ``respawn_secs``, so a worker that
+dies at start-up costs a fork per interval, not a fork loop, even though
+:meth:`WorkerPool.wait` returns the moment a worker exits.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import time
+from multiprocessing.connection import wait as wait_any
 from typing import List, Optional
 
 from repro.farm.worker import FarmConfig, worker_main
@@ -22,16 +28,20 @@ _CTX = multiprocessing.get_context("fork")
 class WorkerPool:
     def __init__(self, db_path: str, campaign: str, size: int,
                  config: Optional[FarmConfig] = None,
-                 name_prefix: str = "farm-w"):
+                 name_prefix: str = "farm-w",
+                 respawn_secs: float = 0.25):
         self.db_path = db_path
         self.campaign = campaign
         self.size = size
         self.config = config or FarmConfig()
         self.name_prefix = name_prefix
+        self.respawn_secs = respawn_secs
         self.procs: List[multiprocessing.Process] = []
         #: workers respawned after dying (the self-healing counter)
         self.respawns = 0
         self._serial = 0
+        #: monotonic spawn time of each slot's current process
+        self._born: List[float] = []
 
     def _spawn(self) -> multiprocessing.Process:
         self._serial += 1
@@ -47,19 +57,36 @@ class WorkerPool:
 
     def start(self) -> None:
         self.procs = [self._spawn() for _ in range(self.size)]
+        self._born = [time.monotonic()] * self.size
 
     def ensure(self) -> int:
-        """Respawn dead workers; returns how many are alive now."""
-        alive: List[multiprocessing.Process] = []
-        for proc in self.procs:
+        """Respawn dead workers whose slot may respawn again; returns
+        how many are alive now."""
+        now = time.monotonic()
+        for slot, proc in enumerate(self.procs):
+            if proc.is_alive() or now - self._born[slot] < self.respawn_secs:
+                continue
+            proc.join(timeout=0)
+            self.respawns += 1
+            self.procs[slot] = self._spawn()
+            self._born[slot] = now
+        return self.alive()
+
+    def wait(self, timeout: float) -> None:
+        """Block until a live worker exits or *timeout* passes — or, if
+        a dead worker's slot is still held back, until it may respawn."""
+        now = time.monotonic()
+        live = []
+        for slot, proc in enumerate(self.procs):
             if proc.is_alive():
-                alive.append(proc)
+                live.append(proc.sentinel)
             else:
-                proc.join(timeout=0)
-                self.respawns += 1
-                alive.append(self._spawn())
-        self.procs = alive
-        return len(alive)
+                ready = self._born[slot] + self.respawn_secs - now
+                timeout = min(timeout, max(0.0, ready))
+        if live:
+            wait_any(live, timeout)
+        else:
+            time.sleep(timeout)
 
     def alive(self) -> int:
         return sum(1 for p in self.procs if p.is_alive())
@@ -74,6 +101,7 @@ class WorkerPool:
                 proc.kill()
                 proc.join(timeout=timeout)
         self.procs = []
+        self._born = []
 
     def __enter__(self) -> "WorkerPool":
         self.start()

@@ -2,21 +2,23 @@
 
 Workers are crash-only processes.  They hold no state the store does
 not: a worker SIGKILLed at *any* point loses at most its current lease,
-which expires and the job is reassigned.  While executing, a heartbeat
-thread (its own store connection — SQLite connections are not
-thread-safe) renews the lease, so a long job under a short lease is
-safe as long as the worker is actually alive; a *stalled-but-alive*
-worker that stops heartbeating loses the lease, someone else runs the
-job, and the content-addressed result store absorbs the duplicate
-completion (exactly-once rows).
+which expires and the job is reassigned.  While executing, the worker's
+heartbeat thread (one per worker, started on its first claim, with its
+own store connection — SQLite connections are not thread-safe) renews
+the lease, so a long job under a short lease is safe as long as the
+worker is actually alive; a *stalled-but-alive* worker that stops
+heartbeating loses the lease, someone else runs the job, and the
+content-addressed result store absorbs the duplicate completion
+(exactly-once rows).
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.farm import store as store_mod
 from repro.farm.exec import execute_job
@@ -54,32 +56,68 @@ class WorkerStats:
 
 
 class _Heartbeat:
-    """Renews one job's lease from a dedicated connection/thread."""
+    """Renews the running job's lease from a dedicated connection/thread.
 
-    def __init__(self, db_path: str, key: str, campaign: str, worker: str,
+    One per worker process: the thread and its store connection start
+    with the first renewed job and live until :meth:`close`.  Inside
+    ``renewing(key)`` the lease on *key* is renewed every
+    ``heartbeat_secs``; leaving it waits out any renewal in flight, so
+    a finished job's lease is never touched again.
+    """
+
+    def __init__(self, db_path: str, campaign: str, worker: str,
                  config: FarmConfig):
-        self._args = (key, campaign, worker, config.lease_secs)
         self._db_path = db_path
+        self._campaign = campaign
+        self._worker = worker
+        self._lease_secs = config.lease_secs
         self._interval = config.heartbeat_secs
         self._timeout = config.db_timeout
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
+        #: guards _key/_closed; held across each renewal
+        self._cond = threading.Condition()
+        self._key: Optional[str] = None
+        self._closed = False
+        self._thread: Optional[threading.Thread] = None
 
-    def __enter__(self) -> "_Heartbeat":
-        self._thread.start()
-        return self
+    def _watch(self, key: Optional[str]) -> None:
+        with self._cond:
+            self._key = key
+            self._cond.notify()
 
-    def __exit__(self, *exc) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5.0)
+    @contextmanager
+    def renewing(self, key: str) -> Iterator[None]:
+        self._watch(key)
+        if self._thread is None or not self._thread.is_alive():
+            self._thread = threading.Thread(target=self._run, daemon=True)
+            self._thread.start()
+        try:
+            yield
+        finally:
+            self._watch(None)
+
+    def close(self) -> None:
+        with self._cond:
+            self._closed = True
+            self._cond.notify()
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
 
     def _run(self) -> None:
         store = FarmStore(self._db_path, timeout=self._timeout)
         try:
-            while not self._stop.wait(self._interval):
-                # a lost lease is not fatal: the job may run twice, and
-                # completion is idempotent — keep running to the end
-                store.heartbeat(*self._args)
+            with self._cond:
+                while not self._closed:
+                    key = self._key
+                    if key is None:
+                        self._cond.wait()
+                    elif not self._cond.wait_for(
+                            lambda: self._closed or self._key != key,
+                            self._interval):
+                        # a lost lease is not fatal: the job may run
+                        # twice, and completion is idempotent — keep
+                        # running to the end
+                        store.heartbeat(key, self._campaign, self._worker,
+                                        self._lease_secs)
         finally:
             store.close()
 
@@ -103,6 +141,7 @@ def run_worker(
     stats = WorkerStats()
     store = FarmStore(db_path, timeout=config.db_timeout,
                       diag_dir=config.diag_dir)
+    heartbeat = _Heartbeat(db_path, campaign, worker, config)
     try:
         while True:
             if max_jobs is not None and stats.claimed >= max_jobs:
@@ -119,7 +158,7 @@ def run_worker(
             key, spec = claimed
             stats.claimed += 1
             try:
-                with _Heartbeat(db_path, key, campaign, worker, config):
+                with heartbeat.renewing(key):
                     row = execute_job(spec, diag_dir=config.diag_dir)
             except BaseException as exc:
                 stats.failed += 1
@@ -140,6 +179,7 @@ def run_worker(
             else:
                 stats.duplicates += 1
     finally:
+        heartbeat.close()
         store.close()
 
 

@@ -19,7 +19,10 @@ reader flags plus a writer field.  The fence groups under study:
   writer side) keeps, reproducing the W+ > WS+ gap on write-heavy
   workloads (paper Fig. 10/11).
 
-Locks are allocated up front for every word of a data region.  With
+Every word of a data region gets its lock's addresses at set-up time
+(so the simulated address map never depends on which locks a run
+touches); the :class:`LockObject` itself is built on the word's first
+lookup, because a large region's locks are mostly never used.  With
 probability ``colocate_prob`` a lock object is placed in the same NUMA
 interleave block as its data, which controls how often WeeFence can
 confine its PS/BS to one directory module (Table 4 Wee columns).
@@ -28,7 +31,7 @@ confine its PS/BS to one directory module (Table 4 Wee columns).
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from repro.common.params import FenceRole
 from repro.core import isa as ops
@@ -63,6 +66,25 @@ class LockObject:
         self.wr_ops = [None] * len(reader_flags)
 
 
+class _LockTable(dict):
+    """``word -> LockObject``, each object built on its first lookup.
+
+    ``bases`` maps every registered word to its lock's base address.
+    Subclassing ``dict`` (rather than wrapping it) keeps a lookup of an
+    already-built lock a plain C-level dict hit on the barrier path;
+    an unregistered word still raises ``KeyError``.
+    """
+
+    def __init__(self, build: Callable[[int], LockObject]):
+        super().__init__()
+        self.bases: Dict[int, int] = {}
+        self._build = build
+
+    def __missing__(self, word: int) -> LockObject:
+        lock = self[word] = self._build(self.bases[word])
+        return lock
+
+
 class TlrwStm:
     """Lock-table holder; per-thread transactions are built on top."""
 
@@ -79,7 +101,7 @@ class TlrwStm:
         self.num_threads = num_threads
         self.colocate_prob = colocate_prob
         self._rng = random.Random(seed)
-        self.locks: Dict[int, LockObject] = {}
+        self.locks = _LockTable(self._build_lock)
         # One reader flag per cache line whenever the lock object still
         # fits one NUMA interleave block.  Packing flags (a dense
         # ByteLock) makes every reader's flag store a false-sharing
@@ -92,6 +114,11 @@ class TlrwStm:
         # pending store is usually an L1 hit.
         block_lines = alloc.amap.interleave_bytes // alloc.amap.line_bytes
         self.FLAGS_PER_LINE = max(1, -(-num_threads // max(1, block_lines - 1)))
+        wb = alloc.amap.word_bytes
+        wpl = alloc.amap.words_per_line
+        stride = wpl // self.FLAGS_PER_LINE
+        self._flag_offsets = [t * stride * wb for t in range(num_threads)]
+        self._writer_offset = (self._lock_words() - wpl) * wb
 
     def _lock_words(self) -> int:
         """Words per lock object: flag lines + a writer line."""
@@ -100,29 +127,26 @@ class TlrwStm:
         return (flag_lines + 1) * wpl
 
     def register_region(self, base: int, nwords: int) -> None:
-        """Create lock objects for every word of a data region.
+        """Place a lock object for every word of a data region.
 
         Must be called at setup time (before the run): allocation during
         simulated execution would break thread replay determinism.
         """
-        amap = self.alloc.amap
-        wb = amap.word_bytes
-        wpl = amap.words_per_line
+        wb = self.alloc.amap.word_bytes
         total = self._lock_words()
-        stride = wpl // self.FLAGS_PER_LINE
+        bases = self.locks.bases
         for i in range(nwords):
             word = base + i * wb
-            if word in self.locks:
+            if word in bases:
                 continue
             if self._rng.random() < self.colocate_prob:
-                lock_base = self.alloc.alloc_same_bank(word, total)
+                bases[word] = self.alloc.alloc_same_bank(word, total)
             else:
-                lock_base = self.alloc.alloc_line(total)
-            flags = [
-                lock_base + t * stride * wb for t in range(self.num_threads)
-            ]
-            writer_addr = lock_base + (total - wpl) * wb
-            self.locks[word] = LockObject(flags, writer_addr)
+                bases[word] = self.alloc.alloc_line(total)
+
+    def _build_lock(self, lock_base: int) -> LockObject:
+        return LockObject([lock_base + off for off in self._flag_offsets],
+                          lock_base + self._writer_offset)
 
     def lock_for(self, word: int) -> LockObject:
         return self.locks[word]

@@ -123,6 +123,171 @@ def test_worker_pool_campaign_matches_inline_rows(tmp_path):
     assert pooled == inline  # scheduling cannot change the rows
 
 
+def test_finished_campaign_resubmit_starts_no_pool(tmp_path, monkeypatch):
+    from repro.farm.pool import WorkerPool
+
+    db = str(tmp_path / "farm.sqlite")
+    spec = _spec()
+    first = run_campaign(db, spec, workers=0)
+
+    def no_pool(self):
+        raise AssertionError("a finished campaign started a worker pool")
+
+    monkeypatch.setattr(WorkerPool, "start", no_pool)
+    assert run_campaign(db, spec, workers=2) == first
+
+
+def test_coordinator_wakes_when_workers_finish(tmp_path):
+    """The coordinator waits on its workers' exits, not a fixed tick:
+    a tiny campaign ends long before one 5 s poll would."""
+    import time
+
+    db = str(tmp_path / "farm.sqlite")
+    t0 = time.monotonic()
+    rows = run_campaign(db, _spec(), workers=2, poll_secs=5.0, timeout=60)
+    assert len(rows) == 2
+    assert time.monotonic() - t0 < 2.0
+
+
+def test_respawn_rate_is_bounded(tmp_path, monkeypatch):
+    """A worker that dies at start-up is respawned at most once per
+    slot per poll, not in a tight fork loop."""
+    from repro.farm import pool as pool_mod
+
+    def dies_at_once(*args):
+        raise RuntimeError("worker dies at start-up")
+
+    monkeypatch.setattr(pool_mod, "worker_main", dies_at_once)
+    seen = []
+    timeout, poll, workers = 1.0, 0.1, 2
+    with pytest.raises(TimeoutError):
+        run_campaign(str(tmp_path / "farm.sqlite"), _spec(),
+                     workers=workers, poll_secs=poll, timeout=timeout,
+                     on_poll=lambda store, pool: seen.append(pool))
+    assert seen[-1].respawns >= 1  # it did try to heal
+    assert seen[-1].respawns <= workers * (timeout / poll + 1)
+
+
+# ----------------------------------------------------------------------
+# heartbeats: one thread per worker, renewing only the running job
+# ----------------------------------------------------------------------
+
+def _record_heartbeats(monkeypatch, job_secs):
+    """Slow every job down by *job_secs* and log each lease renewal
+    and completion as ``(key, thread, time)``."""
+    import threading
+    import time
+
+    from repro.farm.exec import execute_job as real
+
+    beats, completions = [], {}
+    heartbeat, complete = FarmStore.heartbeat, FarmStore.complete
+
+    def slow(job, diag_dir=None):
+        time.sleep(job_secs)
+        return real(job, diag_dir)
+
+    def logged_heartbeat(self, key, *args):
+        beats.append((key, threading.current_thread(), time.monotonic()))
+        return heartbeat(self, key, *args)
+
+    def logged_complete(self, key, *args):
+        status = complete(self, key, *args)
+        completions[key] = time.monotonic()
+        return status
+
+    monkeypatch.setattr(worker_mod, "execute_job", slow)
+    monkeypatch.setattr(FarmStore, "heartbeat", logged_heartbeat)
+    monkeypatch.setattr(FarmStore, "complete", logged_complete)
+    return beats, completions
+
+
+def test_one_heartbeat_thread_serves_consecutive_jobs(tmp_path,
+                                                      monkeypatch):
+    beats, _ = _record_heartbeats(monkeypatch, job_secs=0.2)
+    db = str(tmp_path / "farm.sqlite")
+    cid, _ = campaign_mod.submit(db, _spec(seeds=(5, 6)))  # 4 jobs
+    cfg = FarmConfig(lease_secs=0.15)  # renew every 0.05 s
+    stats = run_worker(db, cid, config=cfg, once=True)
+    assert stats.completed == 4
+    assert len({key for key, _, _ in beats}) == 4  # every job renewed
+    # the log holds every thread object, so ids cannot be recycled
+    assert len({id(thread) for _, thread, _ in beats}) == 1
+
+
+def test_job_outliving_its_lease_is_renewed_not_reclaimed(tmp_path,
+                                                          monkeypatch):
+    import time
+
+    from repro.farm.exec import execute_job as real
+
+    db = str(tmp_path / "farm.sqlite")
+    cid, _ = campaign_mod.submit(
+        db, _spec(designs=[FenceDesign.S_PLUS]))  # 1 job
+    cfg = FarmConfig(lease_secs=0.6)
+    intruder = []
+
+    def outlives_lease(job, diag_dir=None):
+        time.sleep(2 * cfg.lease_secs)
+        with FarmStore(db) as other:
+            intruder.append(other.claim(cid, "intruder", 30.0))
+        return real(job, diag_dir)
+
+    monkeypatch.setattr(worker_mod, "execute_job", outlives_lease)
+    stats = run_worker(db, cid, config=cfg, worker="w1", once=True)
+    assert intruder == [None]  # the renewed lease kept it unclaimable
+    assert stats.completed == 1
+    with FarmStore(db) as store:
+        st = store.status(cid)
+        assert st["done"] == 1 and st["attempts"] == 1
+
+
+def test_finished_job_lease_is_no_longer_renewed(tmp_path, monkeypatch):
+    beats, completions = _record_heartbeats(monkeypatch, job_secs=0.3)
+    db = str(tmp_path / "farm.sqlite")
+    cid, _ = campaign_mod.submit(db, _spec())  # 2 jobs, run in turn
+    run_worker(db, cid, config=FarmConfig(lease_secs=0.15), once=True)
+    assert len(completions) == 2
+    for key, done_at in completions.items():
+        renewed = [t for k, _, t in beats if k == key]
+        assert renewed  # it was renewed while it ran...
+        assert max(renewed) < done_at  # ...and never after it finished
+
+
+def test_heartbeat_never_renews_a_stale_key(tmp_path, monkeypatch):
+    """Stress the hand-over between the worker and its heartbeat
+    thread: with very frequent thread switches, every renewal is for
+    the job running at that moment, never for one already finished."""
+    import random
+    import sys
+    import time
+
+    renewed, stale = [], []
+    heartbeat = FarmStore.heartbeat
+
+    def checked(self, key, *args):
+        renewed.append(key)
+        if key != hb._key:  # the renewal runs under hb's lock
+            stale.append(key)
+        return heartbeat(self, key, *args)
+
+    monkeypatch.setattr(FarmStore, "heartbeat", checked)
+    hb = worker_mod._Heartbeat(str(tmp_path / "farm.sqlite"), "c", "w1",
+                               FarmConfig(lease_secs=0.15))
+    rng = random.Random(5)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for i in range(30):
+            with hb.renewing(f"k{i}"):
+                time.sleep(rng.uniform(0.0, 0.08))
+    finally:
+        sys.setswitchinterval(old)
+        hb.close()
+    assert not hb._thread.is_alive()
+    assert renewed and stale == []
+
+
 # ----------------------------------------------------------------------
 # stalled-but-alive worker: duplicate execution, exactly-once rows
 # ----------------------------------------------------------------------

@@ -148,3 +148,86 @@ def test_writer_field_encodes_tid_plus_one():
     run(m, t)
     assert m.cores[0].notes[0][1] == ("held", 1)  # tid 0 -> value 1
     assert m.image.peek(stm.lock_for(x).writer_addr) == 0
+
+
+# ----------------------------------------------------------------------
+# lazy lock table: addresses fixed at set-up, objects built on first use
+# ----------------------------------------------------------------------
+
+class _EagerStm(TlrwStm):
+    """Reference oracle: builds every lock's addresses eagerly, word by
+    word, drawing the RNG and moving the allocator exactly as the lazy
+    table's set-up must."""
+
+    def register_region(self, base, nwords):
+        amap = self.alloc.amap
+        wb = amap.word_bytes
+        wpl = amap.words_per_line
+        total = self._lock_words()
+        stride = wpl // self.FLAGS_PER_LINE
+        eager = self.__dict__.setdefault("eager", {})
+        for i in range(nwords):
+            word = base + i * wb
+            if word in eager:
+                continue
+            if self._rng.random() < self.colocate_prob:
+                lock_base = self.alloc.alloc_same_bank(word, total)
+            else:
+                lock_base = self.alloc.alloc_line(total)
+            flags = [lock_base + t * stride * wb
+                     for t in range(self.num_threads)]
+            eager[word] = (flags, lock_base + (total - wpl) * wb)
+
+
+def _set_up(monkeypatch, stm_cls, name, cores, colocate):
+    from repro.workloads import ustm as ustm_mod
+    from repro.workloads.base import REGISTRY, load_all_workloads
+
+    load_all_workloads()
+    built = []
+
+    def make_stm(alloc, n):
+        built.append(stm_cls(alloc, n, colocate_prob=colocate))
+        return built[-1]
+
+    monkeypatch.setattr(ustm_mod, "TlrwStm", make_stm)
+    params = MachineParams().with_cores(cores)\
+        .with_design(FenceDesign.WS_PLUS)
+    m = Machine(params, seed=12345)
+    REGISTRY[name](scale=0.25).setup(m)
+    (stm,) = built
+    return m, stm
+
+
+@pytest.mark.parametrize("colocate", [0.0, 0.35, 1.0])
+@pytest.mark.parametrize("cores", [2, 8])
+@pytest.mark.parametrize("name", ["Tree", "Counter"])
+def test_lazy_lock_addresses_match_eager_placement(monkeypatch, name,
+                                                   cores, colocate):
+    m_ref, ref = _set_up(monkeypatch, _EagerStm, name, cores, colocate)
+    m, stm = _set_up(monkeypatch, TlrwStm, name, cores, colocate)
+    assert m.alloc._cursor == m_ref.alloc._cursor
+    assert set(stm.locks.bases) == set(ref.eager)
+    assert not stm.locks  # nothing built before the run looks
+    for word, (flags, writer_addr) in ref.eager.items():
+        lock = stm.lock_for(word)
+        assert lock.reader_flags == flags
+        assert lock.writer_addr == writer_addr
+
+
+def test_lazy_lock_is_built_once():
+    m, stm = make(cores=4)
+    x = m.alloc.word()
+    stm.register_region(x, 1)
+    assert stm.lock_for(x) is stm.lock_for(x)
+    assert stm.locks[x] is stm.lock_for(x)
+
+
+def test_unregistered_word_has_no_lock():
+    m, stm = make()
+    x = m.alloc.word()
+    stm.register_region(x, 1)
+    with pytest.raises(KeyError):
+        stm.lock_for(x + m.amap.word_bytes)
+    with pytest.raises(KeyError):
+        stm.locks[x + m.amap.word_bytes]
